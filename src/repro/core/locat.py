@@ -216,14 +216,16 @@ class Locat:
                 break
 
     def _best_at(self, executor: Executor, ds: float, state: LocatState) -> tuple[dict, float]:
-        """Recommend the configuration minimizing the DAGP *posterior mean*
-        at size ``ds`` among all sampled configurations.
+        """Recommend a configuration for size ``ds`` by charged confirmation
+        re-runs.
 
-        Single noisy observations over-reward lucky runs (winner's curse);
-        the GP recommendation de-noises by pooling information across all
-        samples — including those taken at other data sizes, which is the
-        DAGP payoff. Falls back to the best raw observation if the GP is
-        degenerate."""
+        The candidates are the three best configurations observed at ``ds``
+        plus the two best observed at other sizes. Each is re-run once on
+        ``executor`` (the RQA at ``ds``, charged like any tuning run). A
+        candidate from ``ds`` scores the mean of its two runs; one from
+        another size scores its re-run alone. Single noisy observations
+        over-reward lucky runs (winner's curse); the re-run de-noises them.
+        Returns the lowest-scoring configuration and its score."""
         y = np.asarray(state.y)
         at_ds = [i for i, d in enumerate(state.ds) if abs(d - ds) < 1e-9]
         other = [i for i in range(len(y)) if i not in set(at_ds)]

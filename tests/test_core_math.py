@@ -14,7 +14,7 @@ from repro.core.acquisition import (
     norm_pdf,
     sample_hypers,
 )
-from repro.core.gp import GP, Hyper, log_marginal_likelihood
+from repro.core.gp import _JITTER, GP, Hyper, _bordered_kernel, log_marginal_likelihood, rbf_kernel
 from repro.core.kpca import KERNELS, KernelPCA
 from repro.core.lhs import latin_hypercube
 from repro.core.spearman import rankdata, spearman, spearman_matrix
@@ -124,6 +124,137 @@ class TestGP:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             GP(np.zeros((3, 2)), np.zeros(4), Hyper(np.ones(2), 1.0, 0.1))
+
+
+def _ref_rbf(A, B, h):
+    """The allocating RBF formula the in-place kernel must reproduce bit for bit."""
+    A = A / h.lengthscales
+    B = B / h.lengthscales
+    aa = np.sum(A * A, axis=1)[:, None]
+    bb = np.sum(B * B, axis=1)[None, :]
+    return h.signal_var * np.exp(-0.5 * np.maximum(aa + bb - 2.0 * A @ B.T, 0.0))
+
+
+def _ref_kernel(X, h):
+    return _ref_rbf(X, X, h) + (h.noise_var + _JITTER) * np.eye(len(X))
+
+
+def _ref_lml(X, y, h):
+    """Two-solve reference: Cholesky of K, then alpha = K⁻¹y via two solves."""
+    n = len(y)
+    try:
+        L = np.linalg.cholesky(_ref_kernel(X, h))
+    except np.linalg.LinAlgError:
+        return -np.inf
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
+    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi))
+
+
+def _ref_predict(X, y, h, Xs):
+    """Two-solve reference posterior mean and variance (original units)."""
+    y_mean, y_std = y.mean(), (y.std() or 1.0)
+    L = np.linalg.cholesky(_ref_kernel(X, h))
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, (y - y_mean) / y_std))
+    Ks = _ref_rbf(X, Xs, h)
+    v = np.linalg.solve(L, Ks)
+    var_n = np.maximum(h.signal_var - np.sum(v * v, axis=0), 1e-12)
+    return Ks.T @ alpha * y_std + y_mean, var_n * y_std**2
+
+
+def _random_hyper(rng, d):
+    """Log-normal hyperparameters around the EI-MCMC prior's centre."""
+    return Hyper(
+        np.exp(rng.normal(math.log(0.3), 1.0, d)),
+        float(np.exp(rng.normal(0.0, 1.0))),
+        float(np.exp(rng.normal(math.log(1e-2), 1.5))),
+    )
+
+
+def _gp_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 30, 200):
+        for d in (1, 39):
+            X = rng.random((n, d))
+            yield f"n{n}-d{d}", X, np.sin(3 * X).sum(axis=1) + 0.1 * rng.standard_normal(n), _random_hyper(rng, d)
+    # ill-conditioned: every row duplicated, almost no observation noise
+    X = rng.random((20, 3))
+    X = np.vstack([X, X])
+    y = X.sum(axis=1) + 0.1 * rng.standard_normal(40)
+    yield "duplicated-rows", X, y, Hyper(np.full(3, 0.5), 1.0, 1e-12)
+
+
+GP_CASES = list(_gp_cases())
+
+
+class TestBorderedCholesky:
+    """The bordered factorization against the two-solve formula it replaced."""
+
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("name,X,y,h", GP_CASES, ids=[c[0] for c in GP_CASES])
+    def test_lml_matches_two_solve_reference(self, name, X, y, h):
+        ys = (y - y.mean()) / (y.std() or 1.0)
+        got = log_marginal_likelihood(X, ys, h)
+        assert np.isfinite(got)
+        np.testing.assert_allclose(got, _ref_lml(X, ys, h), rtol=self.RTOL)
+
+    @pytest.mark.parametrize("name,X,y,h", GP_CASES, ids=[c[0] for c in GP_CASES])
+    def test_predict_matches_two_solve_reference(self, name, X, y, h):
+        Xs = np.vstack([X[:5], np.random.default_rng(3).random((7, X.shape[1]))])
+        mu, var = GP(X, y, h).predict(Xs)
+        mu_ref, var_ref = _ref_predict(X, y, h, Xs)
+        np.testing.assert_allclose(var, var_ref, rtol=self.RTOL)
+        # The mean is K⁻¹y projected, so two float64 evaluations of it can
+        # only agree to cond(K)·eps: about 4e-7 on the duplicated-rows case,
+        # where both formulas sit ~7e-9 from an 80-bit evaluation.
+        cond = np.linalg.cond(_ref_kernel(X, h))
+        np.testing.assert_allclose(mu, mu_ref, rtol=max(self.RTOL, cond * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("name,X,y,h", GP_CASES, ids=[c[0] for c in GP_CASES])
+    def test_kernels_are_bit_identical(self, name, X, y, h):
+        n = len(y)
+        M = _bordered_kernel(X, y, h)
+        assert np.array_equal(M[:n, :n], _ref_kernel(X, h))
+        assert np.array_equal(M[n, :n], y) and np.array_equal(M[:n, n], y)
+        Xs = np.random.default_rng(5).random((9, X.shape[1]))
+        assert np.array_equal(rbf_kernel(X, Xs, h), _ref_rbf(X, Xs, h))
+
+    def test_fitted_lml_matches_function(self):
+        _, X, y, h = GP_CASES[2]
+        gp = GP(X, y, h)
+        assert gp.log_marginal_likelihood() == log_marginal_likelihood(X, gp._yn, h)
+
+    def test_non_pd_kernel_fails_like_cholesky(self):
+        rng = np.random.default_rng(0)
+        X = rng.random((10, 2))
+        h = Hyper(np.full(2, 10.0), 1.0, -0.5)  # near-constant kernel minus 0.5 I
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(_ref_kernel(X, h))
+        assert log_marginal_likelihood(X, rng.standard_normal(10), h) == -np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            GP(X, rng.standard_normal(10), h)
+
+    def test_minus_inf_exactly_when_kernel_does_not_factor(self):
+        """Sweep of valid hyperparameters, some so extreme that K is
+        numerically indefinite: -inf iff Cholesky of K alone raises, so the
+        corner of the bordered matrix never fails a kernel that factors."""
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(300):
+            n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            X = rng.random((n, d))
+            X[n // 2:] = X[: n - n // 2] + rng.normal(0.0, 1e-6, (n - n // 2, d))
+            y = 10.0 * rng.standard_normal(n)
+            h = Hyper(np.exp(rng.normal(0.0, 2.0, d)), float(np.exp(rng.uniform(-5, 30))),
+                      float(np.exp(rng.uniform(-30, 0))))
+            try:
+                np.linalg.cholesky(_ref_kernel(X, h))
+                factors = True
+            except np.linalg.LinAlgError:
+                factors = False
+            assert np.isfinite(log_marginal_likelihood(X, y, h)) == factors
+            outcomes.add(factors)
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------- acquisition
