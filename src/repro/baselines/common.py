@@ -39,24 +39,14 @@ class BaseTuner:
         self.queries = queries  # None = full application; else the RQA
 
     # -- helpers ---------------------------------------------------------
-    def _sample(self, executor, rng) -> dict:
-        if hasattr(executor, "sample_feasible"):
-            return executor.sample_feasible(self.space, rng)
-        return self.space.sample_random(rng)
-
-    def _repair(self, executor, conf: dict) -> dict:
-        if hasattr(executor, "repair"):
-            return executor.repair(conf, self.space)
-        return conf
-
     def _run(self, executor: Executor, conf: dict, ds: float) -> float:
         return executor.run(conf, ds, self.queries).total
 
-    def _complete(self, conf: dict, executor) -> dict:
+    def _complete(self, conf: dict, executor: Executor) -> dict:
         """Fill a (possibly subspace) configuration to a full one."""
         full = dict(self._full_defaults)
         full.update(conf)
-        return self._repair(executor, full)
+        return executor.repair(full, self.space)
 
     @property
     def _full_defaults(self) -> dict:
@@ -71,7 +61,7 @@ class BaseTuner:
             best_conf=best_conf,
             best_time=executor.evaluate(best_conf, ds).total,
             opt_seconds=executor.charged_seconds - t0,
-            n_runs=getattr(executor, "n_runs", 0) - n0,
+            n_runs=executor.n_runs - n0,
             ds=ds,
             extras={},
         )

@@ -53,7 +53,7 @@ class DAC(BaseTuner):
 
     def _collect(self, executor: Executor, ds: float, n: int, rng) -> None:
         for _ in range(n):
-            conf = self._sample(executor, rng)
+            conf = executor.sample_feasible(self.space, rng)
             t = self._run(executor, conf, ds)
             self._X.append(np.concatenate([self.space.to_vector(conf), [ds / 500.0]]))
             self._y.append(t)
@@ -84,7 +84,7 @@ class DAC(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
         # model bootstrap (full cost) or datasize-aware top-up
         need = self.n_train if not self._X else int(self.n_train * self.retune_frac)
         self._collect(executor, ds, need, rng)
@@ -92,7 +92,7 @@ class DAC(BaseTuner):
         # GA search on the model, then validate candidates on the cluster
         evals: list[tuple[dict, float]] = []
         for u in self._ga(model, ds, rng):
-            conf = self._repair(executor, self.space.from_vector(np.clip(u, 0.0, 1.0)))
+            conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
             evals.append((conf, self._run(executor, conf, ds)))
         # DAC's protocol selects among the validated GA candidates; the
         # random training samples only feed the model.

@@ -52,19 +52,19 @@ class GBORL(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
         evals: list[tuple[dict, float]] = []
 
         warm_X, warm_y = [], []
         for _ in range(self.n_warm):
-            conf = self._repair(executor, self._memory_guided(rng))
+            conf = executor.repair(self._memory_guided(rng), self.space)
             t = self._run(executor, conf, ds)
             warm_X.append(self.space.to_vector(conf))
             warm_y.append(t)
             evals.append((conf, t))
 
         def f(u: np.ndarray) -> float:
-            conf = self._repair(executor, self.space.from_vector(np.clip(u, 0.0, 1.0)))
+            conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
             t = self._run(executor, conf, ds)
             evals.append((conf, t))
             return t

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import BaseTuner
+from repro.cluster.simulator import SimulatedCluster
 from repro.core.result import TuneResult
 from repro.execmodel.interface import Executor
 
@@ -38,9 +39,11 @@ class QTune(BaseTuner):
         queries plus workload size — QTune's query-aware state vector."""
         names = queries if queries is not None else executor.query_names
         cats = {"selection": 0, "join": 0, "aggregation": 0}
-        profiles = getattr(getattr(executor, "sim", None), "profiles", None)
+        # query categories are known only to the simulator; elsewhere every
+        # query counts as a join
+        profiles = executor.profiles if isinstance(executor, SimulatedCluster) else {}
         for q in names:
-            if profiles is not None and q in profiles:
+            if q in profiles:
                 cats[profiles[q].category] += 1
             else:
                 cats["join"] += 1
@@ -50,7 +53,7 @@ class QTune(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
         d = self.space.dim
         feat = self._featurize(executor, self.queries)
         W = rng.standard_normal((d, len(feat))) * 0.05  # policy weights
@@ -60,7 +63,7 @@ class QTune(BaseTuner):
         for ep in range(self.episodes):
             mean = 1.0 / (1.0 + np.exp(-(W @ feat)))  # action mean in (0,1)
             action = np.clip(mean + sigma * rng.standard_normal(d), 0.0, 1.0)
-            conf = self._repair(executor, self.space.from_vector(action))
+            conf = executor.repair(self.space.from_vector(action), self.space)
             t = self._run(executor, conf, ds)
             evals.append((conf, t))
             reward = -t
@@ -73,7 +76,7 @@ class QTune(BaseTuner):
         # QTune deploys the trained policy: the recommendation is the
         # policy mean action, not the luckiest episode.
         mean = 1.0 / (1.0 + np.exp(-(W @ feat)))
-        policy_conf = self._repair(executor, self.space.from_vector(mean))
+        policy_conf = executor.repair(self.space.from_vector(mean), self.space)
         t_policy = self._run(executor, policy_conf, ds)  # deployment check
         best_conf = policy_conf
         return self._result(executor, best_conf, ds, t0, n0)

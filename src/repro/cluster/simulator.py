@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.cluster.gc_model import gc_seconds
 from repro.cluster.hardware import ClusterSpec
 from repro.cluster.profiles import QueryProfile
+from repro.execmodel.interface import RunResult
 
-__all__ = ["SimulatedCluster", "SimRun"]
+__all__ = ["SimulatedCluster"]
 
 #: Skew factor: the largest shuffle partition holds this multiple of the mean.
 _SKEW = 6.0
@@ -63,24 +61,6 @@ def _gauss(*key: object) -> float:
     u1 = max(_h01(*key, "u1"), 1e-12)
     u2 = _h01(*key, "u2")
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-@dataclass
-class SimRun:
-    """Result of one simulated application execution."""
-
-    times: dict[str, float]  # query name -> seconds
-    gc_times: dict[str, float]  # query name -> GC seconds included in times
-    conf: dict
-    ds_gb: float
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.times.values()))
-
-    @property
-    def gc_total(self) -> float:
-        return float(sum(self.gc_times.values()))
 
 
 #: Parameters whose rugged hash-bump term deceives full-space optimizers.
@@ -130,8 +110,15 @@ def _rugged_multiplier(conf: dict, defaults: dict) -> float:
     return 1.0 + 0.05 * bump
 
 
+def _exec_mem_gb(heap: float, overhead_gb: float, offheap_gb: float) -> float:
+    """Memory one executor claims from the cluster: heap, then overhead of
+    at least 6.25% of the heap, then off-heap."""
+    return heap + max(overhead_gb, 0.0625 * heap) + offheap_gb
+
+
 class SimulatedCluster:
-    """Simulates Spark SQL application runs on a :class:`ClusterSpec`.
+    """Simulates Spark SQL application runs on a :class:`ClusterSpec`; the
+    paper-scale :class:`~repro.execmodel.interface.Executor`.
 
     ``run`` charges the simulated seconds to ``charged_seconds`` — the
     quantity every "optimization time" comparison in the paper measures.
@@ -165,15 +152,8 @@ class SimulatedCluster:
         infeasible ones would simply fail YARN allocation."""
         conf = {**self._defaults, **conf}
         spec = self.spec
-        cores = int(min(conf["spark.executor.cores"], spec.container_max_cores))
-        heap = float(min(conf["spark.executor.memory"], spec.container_max_mem_gb))
-        overhead_gb = float(conf["spark.executor.memoryOverhead"]) / 1024.0
-        offheap_gb = (
-            float(conf["spark.memory.offHeap.size"]) / 1024.0
-            if conf["spark.memory.offHeap.enabled"]
-            else 0.0
-        )
-        per_exec_mem = heap + max(overhead_gb, 0.0625 * heap) + offheap_gb
+        cores, heap, overhead_gb, offheap_gb = self._memory(conf)
+        per_exec_mem = _exec_mem_gb(heap, overhead_gb, offheap_gb)
         inst = int(conf["spark.executor.instances"])
         if heap + overhead_gb + offheap_gb > spec.container_max_mem_gb * 2.0:
             return False
@@ -199,17 +179,10 @@ class SimulatedCluster:
         spec = self.spec
         given_keys = set(conf)
         conf = {**self._defaults, **conf}
-        cores = int(min(conf["spark.executor.cores"], spec.container_max_cores))
-        heap = float(min(conf["spark.executor.memory"], spec.container_max_mem_gb))
+        cores, heap, overhead_gb, offheap_gb = self._memory(conf)
         # Section 5.12: heap + overhead + off-heap must fit the container;
         # scale the two optional slabs down proportionally if they do not.
         cap = spec.container_max_mem_gb * 2.0
-        overhead_gb = float(conf["spark.executor.memoryOverhead"]) / 1024.0
-        offheap_gb = (
-            float(conf["spark.memory.offHeap.size"]) / 1024.0
-            if conf["spark.memory.offHeap.enabled"]
-            else 0.0
-        )
         excess = heap + overhead_gb + offheap_gb - cap
         if excess > 0 and overhead_gb + offheap_gb > 0:
             scale = max(0.0, (cap - heap)) / (overhead_gb + offheap_gb)
@@ -218,7 +191,7 @@ class SimulatedCluster:
             conf["spark.executor.memoryOverhead"] = int(overhead_gb * 1024)
             if conf["spark.memory.offHeap.enabled"]:
                 conf["spark.memory.offHeap.size"] = int(offheap_gb * 1024)
-        per_exec_mem = heap + max(overhead_gb, 0.0625 * heap) + offheap_gb
+        per_exec_mem = _exec_mem_gb(heap, overhead_gb, offheap_gb)
         if "spark.executor.instances" in space:
             p = space["spark.executor.instances"]
             lo_bound, hi_bound = p.lo, p.hi
@@ -237,19 +210,19 @@ class SimulatedCluster:
         adjusted = {"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"}
         return {k: v for k, v in conf.items() if k in given_keys | adjusted}
 
-    def run(self, conf: dict, ds_gb: float, queries: list[str] | None = None) -> SimRun:
-        """Execute the (possibly reduced) application; charge its time."""
-        r = self._execute(conf, ds_gb, queries, noisy=True)
+    def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
+        """Execute the (possibly reduced) application on ``ds`` GB; charge its time."""
+        r = self._execute(conf, ds, queries, noisy=True)
         self.charged_seconds += r.total
         self.n_runs += 1
         return r
 
-    def evaluate(self, conf: dict, ds_gb: float, queries: list[str] | None = None) -> SimRun:
+    def evaluate(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
         """Noise-free expected execution time; nothing is charged."""
-        return self._execute(conf, ds_gb, queries, noisy=False)
+        return self._execute(conf, ds, queries, noisy=False)
 
     # -- model -----------------------------------------------------------
-    def _execute(self, conf: dict, ds_gb: float, queries: list[str] | None, *, noisy: bool) -> SimRun:
+    def _execute(self, conf: dict, ds_gb: float, queries: list[str] | None, *, noisy: bool) -> RunResult:
         # Partial configurations (subspace tuners, IICP grafting) leave the
         # untuned parameters at their Spark defaults.
         conf = {**self._defaults, **conf}
@@ -276,10 +249,11 @@ class SimulatedCluster:
                 )
             times[q] = t
             gcs[q] = gc
-        return SimRun(times, gcs, dict(conf), float(ds_gb))
+        return RunResult(times, dict(conf), float(ds_gb), gcs)
 
-    def _resources(self, conf: dict) -> tuple[int, int, float, float]:
-        """Feasible executors, total cores, heap GB and off-heap GB per executor."""
+    def _memory(self, conf: dict) -> tuple[int, float, float, float]:
+        """Per executor: cores and heap GB, each capped by the container,
+        then overhead GB and off-heap GB (0 unless off-heap is enabled)."""
         spec = self.spec
         cores = int(min(conf["spark.executor.cores"], spec.container_max_cores))
         heap = float(min(conf["spark.executor.memory"], spec.container_max_mem_gb))
@@ -289,7 +263,13 @@ class SimulatedCluster:
             if conf["spark.memory.offHeap.enabled"]
             else 0.0
         )
-        per_exec_mem = heap + max(overhead_gb, 0.0625 * heap) + offheap_gb
+        return cores, heap, overhead_gb, offheap_gb
+
+    def _resources(self, conf: dict) -> tuple[int, int, float, float]:
+        """Feasible executors, total cores, heap GB and off-heap GB per executor."""
+        spec = self.spec
+        cores, heap, overhead_gb, offheap_gb = self._memory(conf)
+        per_exec_mem = _exec_mem_gb(heap, overhead_gb, offheap_gb)
         inst = int(conf["spark.executor.instances"])
         inst = max(1, min(inst, int(spec.total_mem_gb // per_exec_mem), spec.total_cores // cores))
         return inst, inst * cores, heap, offheap_gb

@@ -135,15 +135,3 @@ class EIMCMC:
             mu, var = gp.predict(candidates)
             total += expected_improvement(mu, var, self.best)
         return total / len(self._gps)
-
-    def predict(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble-averaged posterior mean and variance."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        mus = np.zeros(len(candidates))
-        second = np.zeros(len(candidates))
-        for gp in self._gps:
-            mu, var = gp.predict(candidates)
-            mus += mu
-            second += var + mu**2
-        mus /= len(self._gps)
-        return mus, np.maximum(second / len(self._gps) - mus**2, 1e-12)

@@ -38,6 +38,9 @@ from repro.execmodel.interface import Executor, RunResult
 
 __all__ = ["Locat", "LocatState"]
 
+#: BO iterations between KPCA refits in DAGP-BO (see ``Locat._refit_extraction``).
+_REFIT_EVERY = 8
+
 
 @dataclass
 class LocatState:
@@ -91,17 +94,6 @@ class Locat:
         self.use_qcsa = use_qcsa
         self.use_iicp = use_iicp
 
-    # -- helpers ---------------------------------------------------------
-    def _sample(self, executor, rng) -> dict:
-        if hasattr(executor, "sample_feasible"):
-            return executor.sample_feasible(self.space, rng)
-        return self.space.sample_random(rng)
-
-    def _repair(self, executor, conf: dict) -> dict:
-        if hasattr(executor, "repair"):
-            return executor.repair(conf, self.space)
-        return conf
-
     # -- phase 1: bootstrap ---------------------------------------------
     def _bootstrap(self, executor: Executor, ds: float, rng) -> tuple[list[dict], list[RunResult]]:
         """30 full-application runs doubling as the QCSA/IICP sample sets.
@@ -116,18 +108,18 @@ class Locat:
         confs: list[dict] = []
         runs: list[RunResult] = []
         for conf in self.space.sample_lhs(min(3, self.n_qcsa), rng):
-            conf = self._repair(executor, conf)
+            conf = executor.repair(conf, self.space)
             confs.append(conf)
             runs.append(executor.run(conf, ds))
         while len(runs) < min(self.n_iicp, self.n_qcsa):
-            conf = self._sample(executor, rng)
+            conf = executor.sample_feasible(self.space, rng)
             confs.append(conf)
             runs.append(executor.run(conf, ds))
         while len(runs) < self.n_qcsa:
             Xn = augment_with_ds(self.space.matrix(confs), [r.ds for r in runs])
             y = np.array([r.total for r in runs])
             acq = EIMCMC(Xn, y, rng, n_hyper=self.n_hyper)
-            cand_confs = [self._sample(executor, rng) for _ in range(self.n_candidates)]
+            cand_confs = [executor.sample_feasible(self.space, rng) for _ in range(self.n_candidates)]
             cand = augment_with_ds(self.space.matrix(cand_confs), ds)
             j = int(np.argmax(acq.score(cand)))
             conf = cand_confs[j]
@@ -158,7 +150,6 @@ class Locat:
         *,
         min_iters: int,
         max_iters: int,
-        refit_every: int = 8,
     ) -> None:
         """Run BO at data size ``ds``, appending evaluations to ``state``."""
         rqa = state.qcsa.rqa
@@ -182,7 +173,7 @@ class Locat:
                     conf = iicp_now.to_conf(z)
                 else:
                     conf = self.space.from_vector(np.clip(z, 0.0, 1.0))
-                conf = self._repair(executor, conf)
+                conf = executor.repair(conf, self.space)
                 r = executor.run(conf, ds, rqa)
                 state.Z.append(np.asarray(z, dtype=float))
                 state.ds.append(ds)
@@ -190,7 +181,7 @@ class Locat:
                 state.confs.append(conf)
                 return r.total
 
-            chunk = min(refit_every, max_iters - done)
+            chunk = min(_REFIT_EVERY, max_iters - done)
             res = bo_minimize(
                 f,
                 lo,
@@ -250,7 +241,7 @@ class Locat:
         """Full pipeline at one input data size."""
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
 
         confs, runs = self._bootstrap(executor, ds, rng)
         qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
@@ -282,7 +273,7 @@ class Locat:
             best_conf=best_conf,
             best_time=best_time,
             opt_seconds=executor.charged_seconds - t0,
-            n_runs=getattr(executor, "n_runs", 0) - n0,
+            n_runs=executor.n_runs - n0,
             ds=ds,
             extras={"state": state, "qcsa": qres, "iicp": ii},
         )
@@ -303,7 +294,7 @@ class Locat:
         rng = np.random.default_rng(self.seed + 1)
         for ds in ds_list[1:]:
             t0 = executor.charged_seconds
-            n0 = getattr(executor, "n_runs", 0)
+            n0 = executor.n_runs
             self._search(
                 executor,
                 ds,
@@ -318,7 +309,7 @@ class Locat:
                 best_conf=best_conf,
                 best_time=executor.evaluate(best_conf, ds).total,
                 opt_seconds=executor.charged_seconds - t0,
-                n_runs=getattr(executor, "n_runs", 0) - n0,
+                n_runs=executor.n_runs - n0,
                 ds=ds,
                 extras={"state": state},
             )

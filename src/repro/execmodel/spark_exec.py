@@ -72,6 +72,15 @@ class SparkSQLExecutor:
         return self.benchmark.query_names
 
     # -- configuration ---------------------------------------------------
+    def sample_feasible(self, space, rng) -> dict:
+        """Any configuration of ``space``: one local JVM has no joint
+        resource constraint to satisfy."""
+        return space.sample_random(rng)
+
+    def repair(self, conf: dict, space, rng=None) -> dict:
+        """``conf`` unchanged, for the same reason."""
+        return conf
+
     def _apply(self, conf: dict) -> dict[str, str | None]:
         """Set the runtime-tunable subset; return previous values."""
         prev: dict[str, str | None] = {}

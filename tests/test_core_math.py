@@ -298,8 +298,6 @@ class TestAcquisition:
         scores = acq.score(np.array([[0.3], [0.95]]))
         assert scores.shape == (2,)
         assert np.all(scores >= 0)
-        mu, var = acq.predict(np.array([[0.3], [0.95]]))
-        assert mu[0] < mu[1]
 
 
 # ---------------------------------------------------------------- KPCA
