@@ -38,7 +38,7 @@ import math
 
 from repro.cluster.gc_model import gc_seconds
 from repro.cluster.hardware import ClusterSpec
-from repro.cluster.profiles import QueryProfile
+from repro.cluster.profiles import QueryProfile, _h01
 from repro.execmodel.interface import RunResult
 
 __all__ = ["SimulatedCluster"]
@@ -51,15 +51,15 @@ _TASK_OVERHEAD_S = 0.012
 _SPLIT_GB = 0.128
 
 
-def _h01(*key: object) -> float:
-    h = hashlib.sha256("|".join(map(str, key)).encode()).digest()
-    return int.from_bytes(h[:8], "big") / 2**64
-
-
-def _gauss(*key: object) -> float:
-    """Deterministic standard normal from a hashable key (Box-Muller)."""
-    u1 = max(_h01(*key, "u1"), 1e-12)
-    u2 = _h01(*key, "u2")
+def _gauss(prefix, key: str) -> float:
+    """Deterministic standard normal (Box-Muller) from sha256 of the text
+    hashed into ``prefix`` followed by ``key``. Equal to hashing the whole
+    text at once; the prefix a run's draws share is hashed once per run."""
+    h1, h2 = prefix.copy(), prefix.copy()
+    h1.update(f"{key}|u1".encode())
+    h2.update(f"{key}|u2".encode())
+    u1 = max(int.from_bytes(h1.digest()[:8], "big") / 2**64, 1e-12)
+    u2 = int.from_bytes(h2.digest()[:8], "big") / 2**64
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
@@ -230,25 +230,152 @@ class SimulatedCluster:
         unknown = [q for q in names if q not in self.profiles]
         if unknown:
             raise KeyError(f"unknown queries: {unknown[:5]}")
-        times: dict[str, float] = {}
-        gcs: dict[str, float] = {}
-        run_id = self.n_runs
+        spec = self.spec
         rug = _rugged_multiplier(conf, self._defaults)
         # Run-level noise models shared cluster state (JIT, page cache,
         # co-location); per-query noise is smaller and independent, so the
-        # application total does not average the variance away.
-        run_noise = 1.0
-        if noisy:
-            run_noise = math.exp(self.noise * _gauss(self.seed, run_id, "run", round(ds_gb, 3)))
+        # application total does not average the variance away. Every draw
+        # of this run hashes the same "seed|run|" prefix, hashed once here.
+        ds_key = str(round(ds_gb, 3))
+        prefix = hashlib.sha256(f"{self.seed}|{self.n_runs}|".encode())
+        run_noise = math.exp(self.noise * _gauss(prefix, f"run|{ds_key}")) if noisy else 1.0
+        half_noise = 0.5 * self.noise
+
+        # ---- terms of the configuration alone, shared by every query ----
+        inst, conf_cores, heap, offheap_gb = self._resources(conf)
+        sched_over = _TASK_OVERHEAD_S * (1.0 + 0.005 * float(conf["spark.scheduler.revive.interval"]))
+        sched_over *= 1.0 + 0.1 / max(float(conf["spark.driver.cores"]), 1.0)
+        # 2% of tasks wait out spark.locality.wait before launching non-local
+        locality_pen = 0.004 * float(conf["spark.locality.wait"])
+        task_over = sched_over + locality_pen
+        broadcast_kb = float(conf["spark.sql.autoBroadcastJoinThreshold"])
+        compress = bool(conf["spark.shuffle.compress"])
+        zlevel = float(conf["spark.io.compression.zstd.level"])
+        ratio = 0.50 - 0.04 * (zlevel - 1.0)  # higher level -> smaller
+        comp_cpu = 1.0 + 0.3 * (zlevel - 1.0)
+        partitions = max(1, int(conf["spark.sql.shuffle.partitions"]))
+        # the largest (skewed) partition bounds spill sizing and the reduce
+        # stage; skew dilutes as partitions grow (keys spread across
+        # reducers)
+        skew_eff = 1.0 + (_SKEW - 1.0) * math.sqrt(200.0 / partitions)
+        net_eff = 0.92 + 0.08 * min(float(conf["spark.shuffle.io.numConnectionsPerPeer"]), 3.0) / 3.0
+        net_eff *= 0.97 + 0.03 * min(float(conf["spark.reducer.maxSizeInFlight"]) / 96.0, 1.0)
+        net_bw = spec.net_total_gBps * net_eff
+        sort_merge = bool(conf["spark.sql.join.preferSortMergeJoin"])
+        two_level = bool(conf["spark.sql.codegen.aggregate.map.twolevel.enable"])
+        radix = bool(conf["spark.sql.sort.enableRadixSort"])
+        bypass = partitions < float(conf["spark.shuffle.sort.bypassMergeThreshold"])
+        frac = float(conf["spark.memory.fraction"])
+        exec_frac = frac * (1.0 - 0.5 * float(conf["spark.memory.storageFraction"]))
+        exec_mem_gb = heap * exec_frac + offheap_gb
+        buf_eff = 0.97 + 0.03 * min(float(conf["spark.shuffle.file.buffer"]) / 96.0, 1.0)
+        spill_comp = 0.6 if conf["spark.shuffle.spill.compress"] else 1.0
+        spill_bw = spec.disk_total_gBps * buf_eff
+        offheap_on = bool(conf["spark.memory.offHeap.enabled"])
+        exec_over = inst * 0.004
+        # starving user/metadata memory (fraction near 0.9) causes task
+        # retries and OOM-adjacent churn: interior optimum in
+        # spark.memory.fraction (too low -> GC, too high -> this)
+        churn = 1.2 * (frac - 0.75) ** 2
+        # small monotone costs for the remaining long-tail parameters; a
+        # factor of 1.0 leaves a time bit-identical
+        tail_block = 1.0 + 0.002 * (float(conf["spark.broadcast.blockSize"]) / 16.0)
+        tail_broadcast = 1.0 if conf["spark.broadcast.compress"] else 1.003
+        tail_rdd = 1.0 if conf["spark.rdd.compress"] else 1.002
+
+        times: dict[str, float] = {}
+        gcs: dict[str, float] = {}
         for q in names:
-            t, gc = self._query_time(conf, ds_gb, self.profiles[q])
-            t *= rug
+            p = self.profiles[q]
+            # Per-query parallelism ceiling: insensitive queries cannot use
+            # more resources than their plan exposes (Section 5.11).
+            total_cores = min(conf_cores, p.max_cores)
+            read_gb = ds_gb * p.input_frac
+
+            # ---- map stage ----
+            cpu_map = p.cpu_per_gb * read_gb / spec.cpu_factor  # core-seconds
+            map_tasks = max(1, math.ceil(read_gb / _SPLIT_GB))
+            map_waves = math.ceil(map_tasks / total_cores)
+            t_task_map = cpu_map / map_tasks
+            t_map = map_waves * t_task_map + (map_tasks / total_cores) * task_over
+
+            # ---- shuffle volume ----
+            S = p.shuffle_per_gb * read_gb  # GB written by mappers
+            if p.broadcast_kb and broadcast_kb >= p.broadcast_kb:
+                S *= 0.35  # broadcast join avoids shuffling the big side's keys
+            if compress:
+                S_wire = S * ratio
+                cpu_comp = S * 0.008 * comp_cpu / spec.cpu_factor
+            else:
+                S_wire, cpu_comp = S, 0.0
+
+            # ---- reduce stage ----
+            t_net = S_wire / net_bw
+            # map outputs are written to and re-read from local disks at the
+            # (possibly compressed) stored size — the other half of why
+            # spark.shuffle.compress matters (Section 5.4)
+            t_shuffle_disk = 2.0 * S_wire / spec.disk_total_gBps
+
+            cpu_red = cpu_map * p.reduce_frac + cpu_comp
+            if sort_merge and p.category == "join":
+                cpu_red *= 1.06  # sort-merge pays a sort; hash join is cheaper in memory
+            if not two_level and p.category == "aggregation":
+                cpu_red *= 1.02
+            if not radix and p.category in ("join", "aggregation"):
+                cpu_red *= 1.01
+            if bypass:
+                cpu_red *= 0.99  # bypass merge-sort for few partitions
+
+            # spill: biggest partition vs per-task execution memory
+            cores = max(1, total_cores // inst)
+            task_mem_gb = exec_mem_gb / cores
+            per_task_gb = (S / partitions) * skew_eff * _INFLATION
+            spill_gb = max(0.0, per_task_gb - task_mem_gb) * partitions / skew_eff
+            t_spill = 3.0 * spill_gb * spill_comp / spill_bw
+
+            reduce_waves = math.ceil(partitions / total_cores)
+            t_red_cpu = max(reduce_waves * (cpu_red / partitions), (cpu_red / partitions) * skew_eff)
+            # every reduce task pays fetch/setup cost proportional to the map
+            # side fan-in: too many partitions hurts, giving the interior
+            # optimum in spark.sql.shuffle.partitions that shifts with data
+            # size and memory (Table 3 / Section 5.4)
+            t_fanin = partitions * (0.004 + 3e-6 * map_tasks)
+            t_reduce = (
+                t_red_cpu
+                + t_net
+                + t_shuffle_disk
+                + t_spill
+                + t_fanin
+                + (partitions / total_cores) * sched_over
+            )
+
+            # ---- GC ----
+            # Heap pressure comes from the per-task reduce working set held
+            # by each concurrently running task, plus the query's resident
+            # state spread over executors.
+            working_per_exec = (S / partitions) * _INFLATION * cores + p.mem_per_gb * read_gb * _INFLATION / inst
+            gc = gc_seconds(
+                cpu_map / total_cores + cpu_red / total_cores,
+                heap,
+                frac,
+                offheap_gb,
+                offheap_on,
+                working_per_exec,
+            )
+
+            t = p.base_s + t_map + t_reduce + gc
+            # per-executor startup/heartbeat overhead: many tiny executors cost
+            t += exec_over
+            if frac > 0.75 and p.category != "selection":
+                t *= 1.0 + churn * min(read_gb / 50.0, 4.0)
+            t *= tail_block
+            t *= tail_broadcast
+            t *= tail_rdd
+            t = float(t) * rug
             if noisy:
-                t *= run_noise * math.exp(
-                    0.5 * self.noise * _gauss(self.seed, run_id, q, round(ds_gb, 3))
-                )
+                t *= run_noise * math.exp(half_noise * _gauss(prefix, f"{q}|{ds_key}"))
             times[q] = t
-            gcs[q] = gc
+            gcs[q] = float(gc)
         return RunResult(times, dict(conf), float(ds_gb), gcs)
 
     def _memory(self, conf: dict) -> tuple[int, float, float, float]:
@@ -273,119 +400,3 @@ class SimulatedCluster:
         inst = int(conf["spark.executor.instances"])
         inst = max(1, min(inst, int(spec.total_mem_gb // per_exec_mem), spec.total_cores // cores))
         return inst, inst * cores, heap, offheap_gb
-
-    def _query_time(self, conf: dict, ds_gb: float, p: QueryProfile) -> tuple[float, float]:
-        spec = self.spec
-        inst, total_cores, heap, offheap_gb = self._resources(conf)
-        # Per-query parallelism ceiling: insensitive queries cannot use more
-        # resources than their plan exposes (Section 5.11).
-        total_cores = min(total_cores, p.max_cores)
-        read_gb = ds_gb * p.input_frac
-
-        # ---- map stage ----
-        cpu_map = p.cpu_per_gb * read_gb / spec.cpu_factor  # core-seconds
-        map_tasks = max(1, math.ceil(read_gb / _SPLIT_GB))
-        map_waves = math.ceil(map_tasks / total_cores)
-        t_task_map = cpu_map / map_tasks
-        sched_over = _TASK_OVERHEAD_S * (1.0 + 0.005 * float(conf["spark.scheduler.revive.interval"]))
-        sched_over *= 1.0 + 0.1 / max(float(conf["spark.driver.cores"]), 1.0)
-        # 2% of tasks wait out spark.locality.wait before launching non-local
-        locality_pen = 0.004 * float(conf["spark.locality.wait"])
-        t_map = map_waves * t_task_map + (map_tasks / total_cores) * (sched_over + locality_pen)
-
-        # ---- shuffle volume ----
-        S = p.shuffle_per_gb * read_gb  # GB written by mappers
-        if p.broadcast_kb and float(conf["spark.sql.autoBroadcastJoinThreshold"]) >= p.broadcast_kb:
-            S *= 0.35  # broadcast join avoids shuffling the big side's keys
-        zlevel = float(conf["spark.io.compression.zstd.level"])
-        cpu_comp = 0.0
-        if conf["spark.shuffle.compress"]:
-            ratio = 0.50 - 0.04 * (zlevel - 1.0)  # higher level -> smaller
-            S_wire = S * ratio
-            cpu_comp = S * 0.008 * (1.0 + 0.3 * (zlevel - 1.0)) / spec.cpu_factor
-        else:
-            S_wire = S
-
-        # ---- reduce stage ----
-        partitions = max(1, int(conf["spark.sql.shuffle.partitions"]))
-        # the largest (skewed) partition bounds spill sizing and the reduce
-        # stage; skew dilutes as partitions grow (keys spread across
-        # reducers)
-        skew_eff = 1.0 + (_SKEW - 1.0) * math.sqrt(200.0 / partitions)
-        net_eff = 0.92 + 0.08 * min(float(conf["spark.shuffle.io.numConnectionsPerPeer"]), 3.0) / 3.0
-        net_eff *= 0.97 + 0.03 * min(float(conf["spark.reducer.maxSizeInFlight"]) / 96.0, 1.0)
-        t_net = S_wire / (spec.net_total_gBps * net_eff)
-        # map outputs are written to and re-read from local disks at the
-        # (possibly compressed) stored size — the other half of why
-        # spark.shuffle.compress matters (Section 5.4)
-        t_shuffle_disk = 2.0 * S_wire / spec.disk_total_gBps
-
-        cpu_red = cpu_map * p.reduce_frac + cpu_comp
-        if conf["spark.sql.join.preferSortMergeJoin"] and p.category == "join":
-            cpu_red *= 1.06  # sort-merge pays a sort; hash join is cheaper in memory
-        if not conf["spark.sql.codegen.aggregate.map.twolevel.enable"] and p.category == "aggregation":
-            cpu_red *= 1.02
-        if not conf["spark.sql.sort.enableRadixSort"] and p.category in ("join", "aggregation"):
-            cpu_red *= 1.01
-        if partitions < float(conf["spark.shuffle.sort.bypassMergeThreshold"]):
-            cpu_red *= 0.99  # bypass merge-sort for few partitions
-
-        # spill: biggest partition vs per-task execution memory
-        exec_frac = float(conf["spark.memory.fraction"]) * (
-            1.0 - 0.5 * float(conf["spark.memory.storageFraction"])
-        )
-        cores = max(1, total_cores // inst)
-        task_mem_gb = (heap * exec_frac + offheap_gb) / cores
-        per_task_gb = (S / partitions) * skew_eff * _INFLATION
-        spill_gb = max(0.0, per_task_gb - task_mem_gb) * partitions / skew_eff
-        buf_eff = 0.97 + 0.03 * min(float(conf["spark.shuffle.file.buffer"]) / 96.0, 1.0)
-        spill_comp = 0.6 if conf["spark.shuffle.spill.compress"] else 1.0
-        t_spill = 3.0 * spill_gb * spill_comp / (spec.disk_total_gBps * buf_eff)
-
-        reduce_waves = math.ceil(partitions / total_cores)
-        t_red_cpu = max(reduce_waves * (cpu_red / partitions), (cpu_red / partitions) * skew_eff)
-        # every reduce task pays fetch/setup cost proportional to the map
-        # side fan-in: too many partitions hurts, giving the interior
-        # optimum in spark.sql.shuffle.partitions that shifts with data
-        # size and memory (Table 3 / Section 5.4)
-        t_fanin = partitions * (0.004 + 3e-6 * map_tasks)
-        t_reduce = (
-            t_red_cpu
-            + t_net
-            + t_shuffle_disk
-            + t_spill
-            + t_fanin
-            + (partitions / total_cores) * sched_over
-        )
-
-        # ---- GC ----
-        # Heap pressure comes from the per-task reduce working set held by
-        # each concurrently running task, plus the query's resident state
-        # spread over executors.
-        working_per_exec = (S / partitions) * _INFLATION * cores + p.mem_per_gb * read_gb * _INFLATION / inst
-        gc = gc_seconds(
-            cpu_map / total_cores + cpu_red / total_cores,
-            heap,
-            float(conf["spark.memory.fraction"]),
-            offheap_gb,
-            bool(conf["spark.memory.offHeap.enabled"]),
-            working_per_exec,
-        )
-
-        t = p.base_s + t_map + t_reduce + gc
-        # per-executor startup/heartbeat overhead: many tiny executors cost
-        t += inst * 0.004
-        # starving user/metadata memory (fraction near 0.9) causes task
-        # retries and OOM-adjacent churn: interior optimum in
-        # spark.memory.fraction (too low -> GC above, too high -> this)
-        frac = float(conf["spark.memory.fraction"])
-        if frac > 0.75 and p.category != "selection":
-            t *= 1.0 + 1.2 * (frac - 0.75) ** 2 * min(read_gb / 50.0, 4.0)
-
-        # small monotone costs for the remaining long-tail parameters
-        t *= 1.0 + 0.002 * (float(conf["spark.broadcast.blockSize"]) / 16.0)
-        if not conf["spark.broadcast.compress"]:
-            t *= 1.003
-        if not conf["spark.rdd.compress"]:
-            t *= 1.002
-        return float(t), float(gc)

@@ -1,4 +1,6 @@
 """Unit tests for the simulated-cluster substrate."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.cluster.profiles import (
 )
 from repro.cluster.simulator import SimulatedCluster
 from repro.core.configspace import arm_space
+from repro.execmodel.sim_exec import make_executor
+from repro.experiments.common import BENCHMARKS, cluster_for, space_for
 
 ARM = arm_space()
 
@@ -221,3 +225,36 @@ class TestSimulator:
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError):
             SimulatedCluster(ARM_CLUSTER, [])
+
+
+class TestGoldenTimes:
+    """Every simulated time and GC time, pinned bit for bit.
+
+    The digest was computed before the simulator hoisted its
+    configuration-only terms out of the per-query loop; any change to the
+    model's arithmetic or to its noise stream changes it. 300 seeded
+    configurations (some partial) over both clusters and all five
+    benchmarks, each run (noisy, advancing the run counter) and evaluated
+    (noise-free) at one of six data sizes, on all queries or a subset.
+    """
+
+    DIGEST = "0182a60f76b31b1fc1b6e6569a4cdab56e1698e51c0c949c87cc478d49f8f90e"
+
+    def test_run_and_evaluate_digest(self):
+        sizes = (100.0, 300.0, 500.0, 1000.0, 37.25, 300)
+        h = hashlib.sha256()
+        for c, cluster in enumerate(("arm", "x86")):
+            space = space_for(cluster)
+            for b, bench in enumerate(BENCHMARKS):
+                ex = make_executor(bench, cluster_for(cluster), seed=7 * c + b)
+                rng = np.random.default_rng(100 * c + b)
+                names = ex.query_names
+                for i in range(30):
+                    conf = ex.sample_feasible(space, rng)
+                    if i % 5 == 4:
+                        conf = {k: conf[k] for k in space.names[::3]}
+                    ds = sizes[i % len(sizes)]
+                    queries = None if i % 3 else names[::-2]
+                    for r in (ex.run(conf, ds, queries), ex.evaluate(conf, ds, queries)):
+                        h.update(repr((r.times, r.gc_times)).encode())
+        assert h.hexdigest() == self.DIGEST

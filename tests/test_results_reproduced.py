@@ -1,9 +1,10 @@
 """Committed simulator results are reproduced to their printed digits.
 
 The simulator path is deterministic, so these rows pin the behaviour of
-the simulator's run, evaluate and GC paths, ``repair`` (Tuneful) and
-``sample_feasible`` (DAC, LOCAT): a refactor that keeps them exact keeps
-the rows exact. The full set is regenerated by ``pytest benchmarks/``.
+the simulator's run, evaluate and GC paths, ``repair`` (Tuneful),
+``sample_feasible`` (DAC, LOCAT), GBRT (DAC) and QTune's featurized
+path: a refactor that keeps them exact keeps the rows exact. The full
+set is regenerated by ``pytest benchmarks/``.
 """
 from pathlib import Path
 
@@ -33,7 +34,12 @@ def _row(name: str, **key: str) -> dict[str, str]:
 
 @pytest.mark.parametrize(
     "tuner, row_tuner, column",
-    [("LOCAT", "Tuneful", "locat_opt_h"), ("Tuneful", "Tuneful", "sota_opt_h"), ("DAC", "DAC", "sota_opt_h")],
+    [
+        ("LOCAT", "Tuneful", "locat_opt_h"),
+        ("Tuneful", "Tuneful", "sota_opt_h"),
+        ("DAC", "DAC", "sota_opt_h"),
+        ("QTune", "QTune", "sota_opt_h"),
+    ],
 )
 def test_fig11_tpcds_opt_hours(tuner, row_tuner, column):
     row = _row("fig11_opttime_arm.txt", benchmark="TPC-DS", tuner=row_tuner)
